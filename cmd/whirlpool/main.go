@@ -5,7 +5,7 @@
 //	whirlpool -file catalog.xml -query "/book[./title = 'wodehouse']" -k 5
 //	whirlpool -file site.xml -query "//item[./description/parlist]" -k 10 -algorithm whirlpool-m
 //	whirlpool -file site.xml -query "//item[./name]" -exact -stats
-//	whirlpool -file site.wpx -query "//item[./quantity < 3]"   # binary snapshot
+//	whirlpool -file site.wpxs -query "//item[./quantity < 3]"  # mmap snapshot
 //
 // Flags select the algorithm (whirlpool-s, whirlpool-m, lockstep,
 // lockstep-noprun), the routing strategy, the queue discipline and the
@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"strings"
 
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	var (
-		file      = flag.String("file", "", "XML file to query (required)")
+		file      = flag.String("file", "", "XML file or .wpxs snapshot to query (required)")
 		queryStr  = flag.String("query", "", "tree-pattern query, e.g. //item[./name] (required)")
 		k         = flag.Int("k", 10, "number of answers")
 		algorithm = flag.String("algorithm", "whirlpool-s", "whirlpool-s | whirlpool-m | lockstep | lockstep-noprun")
@@ -53,10 +55,14 @@ func run(file, queryStr string, k int, algorithm, routing, queue, norm string, e
 	saveSnap, snShards, snScopes string) error {
 	var db *whirlpool.Database
 	var err error
-	if strings.HasSuffix(file, ".wpx") || strings.HasSuffix(file, ".wpxs") {
-		db, err = whirlpool.Open(file)
+	if strings.HasSuffix(file, ".wpxs") {
+		db, err = whirlpool.OpenSnapshot(file)
 	} else {
 		db, err = whirlpool.LoadFile(file)
+		var pathErr *fs.PathError
+		if err != nil && !errors.As(err, &pathErr) {
+			err = fmt.Errorf("%s is not an XML document (snapshots must be .wpxs files): %w", file, err)
+		}
 	}
 	if err != nil {
 		return err

@@ -2,10 +2,11 @@ package main
 
 import (
 	"os"
-
 	"path/filepath"
-	whirlpool "repro"
+	"strings"
 	"testing"
+
+	whirlpool "repro"
 )
 
 func writeCatalog(t *testing.T) string {
@@ -83,11 +84,20 @@ func TestRunSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(t.TempDir(), "cat.wpx")
-	if err := db.Save(snap); err != nil {
+	snap := filepath.Join(t.TempDir(), "cat.wpxs")
+	if err := db.SaveSnapshot(snap, whirlpool.SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(snap, "/book[./title = 'wodehouse']", 2, "whirlpool-s", "min-alive", "max-final", "sparse", false, true, false, "", "", ""); err != nil {
 		t.Fatal(err)
+	}
+	// A snapshot under any other name is not XML and must say so.
+	renamed := filepath.Join(t.TempDir(), "cat.wpx")
+	if err := os.Rename(snap, renamed); err != nil {
+		t.Fatal(err)
+	}
+	err = run(renamed, "/book[./title = 'wodehouse']", 2, "whirlpool-s", "min-alive", "max-final", "sparse", false, false, false, "", "", "")
+	if err == nil || !strings.Contains(err.Error(), "not an XML document") {
+		t.Fatalf("non-XML file: err = %v, want a not-an-XML-document error", err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command whirlpoold serves top-k XML queries over HTTP. It loads one
-// document (XML or .wpx snapshot) at startup and answers concurrent
-// queries with the Whirlpool engine.
+// document (an XML file, or a .wpxs snapshot with -snapshot) at startup
+// and answers concurrent queries with the Whirlpool engine.
 //
 //	whirlpoold -file site.xml -addr :8080
 //	whirlpoold -snapshot site.wpxs -addr :8080   # mmap, no build pass
@@ -43,7 +43,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro"
@@ -51,7 +50,7 @@ import (
 
 func main() {
 	var (
-		file      = flag.String("file", "", "XML file or .wpx snapshot to serve")
+		file      = flag.String("file", "", "XML file to serve")
 		snapshot  = flag.String("snapshot", "", "boot from a zero-copy mmap snapshot (.wpxs); falls back to -file on error")
 		addr      = flag.String("addr", ":8080", "listen address")
 		cacheSize = flag.Int("cache", defaultCacheSize, "max cached engines / keyword indexes (LRU)")
@@ -81,11 +80,7 @@ func main() {
 		}
 	}
 	if db == nil {
-		if strings.HasSuffix(*file, ".wpx") || strings.HasSuffix(*file, ".wpxs") {
-			db, err = whirlpool.Open(*file)
-		} else {
-			db, err = whirlpool.LoadFile(*file)
-		}
+		db, err = whirlpool.LoadFile(*file)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestQueryVariantsShareOneEngine checks the engine cache keys on the
@@ -109,9 +111,34 @@ func TestShardedPlanServing(t *testing.T) {
 	if len(first.Answers) != len(second.Answers) {
 		t.Fatalf("answer counts differ: %d vs %d", len(first.Answers), len(second.Answers))
 	}
-	for i := range first.Answers {
-		if first.Answers[i].Dewey != second.Answers[i].Dewey || first.Answers[i].Score != second.Answers[i].Score {
-			t.Fatalf("answer %d differs between variants: %+v vs %+v", i, first.Answers[i], second.Answers[i])
+	if len(first.Answers) == 0 {
+		t.Fatal("no answers")
+	}
+	// Sharded runs follow DESIGN.md's tie contract ("Tie pruning"): which
+	// of several roots tied at the k-th score is reported depends on the
+	// shard schedule. Scores agree at every rank, roots strictly above
+	// the k-th score agree, and a root reported at the k-th score must
+	// score that on an unsharded run that keeps every root.
+	all, err := s.db.TopK(whirlpool.MustParseQuery(a), whirlpool.Approximate(s.db.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := make(map[string]float64, len(all.Answers))
+	for _, ans := range all.Answers {
+		best[ans.Root.ID.String()] = ans.Score
+	}
+	boundary := first.Answers[len(first.Answers)-1].Score
+	for i, f := range first.Answers {
+		g := second.Answers[i]
+		if g.Score != f.Score {
+			t.Fatalf("answer %d score differs between variants: %+v vs %+v", i, f, g)
+		}
+		if f.Score > boundary && g.Dewey != f.Dewey {
+			t.Fatalf("answer %d above the k-th score differs between variants: %+v vs %+v", i, f, g)
+		}
+		if sc, ok := best[g.Dewey]; f.Score == boundary && (!ok || sc != boundary) {
+			t.Fatalf("answer %d: root %s reported at the k-th score %v, but its best score is %v (found %v)",
+				i, g.Dewey, boundary, sc, ok)
 		}
 	}
 }

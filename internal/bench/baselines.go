@@ -50,9 +50,9 @@ func ExactBaseline(w io.Writer, c Config) error {
 }
 
 // DiskVsMemory compares running the default workload against the
-// in-memory index and against a store snapshot (lazily decoded
-// postings) — the answers must agree; the table reports open and query
-// times.
+// in-memory index and against a WPXS store snapshot (probes served from
+// the snapshot's flat postings arrays) — the answers must agree; the
+// table reports open and query times.
 func DiskVsMemory(w io.Writer, c Config) error {
 	c = c.withDefaults()
 	env, err := NewEnv(c.Seed, c.bytesFor(Doc10MB), c.Norm)
@@ -60,11 +60,11 @@ func DiskVsMemory(w io.Writer, c Config) error {
 		return err
 	}
 	var snap bytes.Buffer
-	if err := store.Write(&snap, env.Doc); err != nil {
+	if err := store.WriteSnapshot(&snap, &store.Snapshot{Doc: env.Doc}); err != nil {
 		return err
 	}
 	start := time.Now()
-	reader, err := store.Parse(snap.Bytes())
+	reader, err := store.ParseSnapshot(snap.Bytes())
 	if err != nil {
 		return err
 	}

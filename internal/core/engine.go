@@ -160,7 +160,7 @@ func New(ix index.Source, q *pattern.Query, cfg Config) (*Engine, error) {
 					e.fanout[id] = f / p
 				}
 			} else {
-				st := ix.Predicate(q.Root().Tag, axis, q.Nodes[id].Tag, e.vts[id])
+				st := index.PredicateStatsOf(ix, q.Root().Tag, axis, q.Nodes[id].Tag, e.vts[id])
 				e.fanout[id] = st.MeanFanout()
 				e.satisfyProb[id] = st.Selectivity()
 			}

@@ -20,7 +20,7 @@ func CostBasedOrder(ix index.Source, q *pattern.Query, r relax.Relaxation) []int
 	satisfyProb := make([]float64, q.Size())
 	fanout := make([]float64, q.Size())
 	for id := 1; id < q.Size(); id++ {
-		st := ix.Predicate(rootTag, plans[id].ProbeAxis(), q.Nodes[id].Tag, index.Test(q.Nodes[id].ValueOp, q.Nodes[id].Value))
+		st := index.PredicateStatsOf(ix, rootTag, plans[id].ProbeAxis(), q.Nodes[id].Tag, index.Test(q.Nodes[id].ValueOp, q.Nodes[id].Value))
 		satisfyProb[id] = st.Selectivity()
 		fanout[id] = st.MeanFanout()
 	}

@@ -83,7 +83,7 @@ func CompilePlan(ix index.Source, stats PlanStats, q *pattern.Query, r relax.Rel
 			st, resolved = stats.Predicate(rootTag, axis, q.Nodes[id].Tag)
 		}
 		if !resolved {
-			st = ix.Predicate(rootTag, axis, q.Nodes[id].Tag, vt)
+			st = index.PredicateStatsOf(ix, rootTag, axis, q.Nodes[id].Tag, vt)
 		}
 		p.Fanout[id] = st.MeanFanout()
 		p.SatisfyProb[id] = st.Selectivity()

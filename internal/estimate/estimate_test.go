@@ -82,7 +82,7 @@ func TestEstimatesTrackExactStats(t *testing.T) {
 	}
 	var pairs []fpair
 	for _, tag := range tags {
-		st := ix.Predicate("item", dewey.Descendant, tag, index.ValueEq(""))
+		st := index.PredicateStatsOf(ix, "item", dewey.Descendant, tag, index.ValueEq(""))
 		exact := float64(st.TotalPairs) / float64(st.RootCount)
 		markov := s.Fanout("item", dewey.Descendant, tag)
 		if exact == 0 {

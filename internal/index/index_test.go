@@ -55,16 +55,16 @@ func TestNodesPostings(t *testing.T) {
 	}
 }
 
-func TestNodesValued(t *testing.T) {
+func TestNodesMatchingEquality(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
-	wode := ix.NodesValued("title", "wodehouse")
+	wode := ix.NodesMatching("title", ValueEq("wodehouse"))
 	if len(wode) != 2 {
 		t.Fatalf("wodehouse titles = %d", len(wode))
 	}
-	if got := ix.NodesValued("title", ""); len(got) != 4 {
+	if got := ix.NodesMatching("title", ValueEq("")); len(got) != 4 {
 		t.Fatalf("empty value should mean any: %d", len(got))
 	}
-	if got := ix.NodesValued("title", "absent"); len(got) != 0 {
+	if got := ix.NodesMatching("title", ValueEq("absent")); len(got) != 0 {
 		t.Fatalf("absent value = %d", len(got))
 	}
 }
@@ -72,11 +72,11 @@ func TestNodesValued(t *testing.T) {
 func TestCandidatesChild(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	book1 := ix.Nodes("book")[0]
-	got := ix.Candidates(book1, dewey.Child, "title", ValueEq(""))
+	got := ix.AppendCandidates(nil, book1, dewey.Child, "title", ValueEq(""))
 	if len(got) != 1 || got[0].Value != "wodehouse" {
 		t.Fatalf("child titles of book1 = %v", got)
 	}
-	if got := ix.Candidates(book1, dewey.Child, "name", ValueEq("")); len(got) != 0 {
+	if got := ix.AppendCandidates(nil, book1, dewey.Child, "name", ValueEq("")); len(got) != 0 {
 		t.Fatalf("name is not a child of book1: %v", got)
 	}
 }
@@ -84,16 +84,16 @@ func TestCandidatesChild(t *testing.T) {
 func TestCandidatesDescendant(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	books := ix.Nodes("book")
-	if got := ix.Candidates(books[0], dewey.Descendant, "name", ValueEq("psmith")); len(got) != 1 {
+	if got := ix.AppendCandidates(nil, books[0], dewey.Descendant, "name", ValueEq("psmith")); len(got) != 1 {
 		t.Fatalf("descendant name of book1 = %v", got)
 	}
 	// book2 has two descendant titles (own + reviews/title).
-	if got := ix.Candidates(books[1], dewey.Descendant, "title", ValueEq("")); len(got) != 2 {
+	if got := ix.AppendCandidates(nil, books[1], dewey.Descendant, "title", ValueEq("")); len(got) != 2 {
 		t.Fatalf("descendant titles of book2 = %v", got)
 	}
 	// Results must not leak into the next book's subtree.
 	lib := ix.Nodes("library")[0]
-	all := ix.Candidates(lib, dewey.Descendant, "title", ValueEq(""))
+	all := ix.AppendCandidates(nil, lib, dewey.Descendant, "title", ValueEq(""))
 	if len(all) != 4 {
 		t.Fatalf("library descendant titles = %d", len(all))
 	}
@@ -102,54 +102,37 @@ func TestCandidatesDescendant(t *testing.T) {
 func TestCandidatesSelf(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	b := ix.Nodes("book")[0]
-	if got := ix.Candidates(b, dewey.Self, "book", ValueEq("")); len(got) != 1 {
+	if got := ix.AppendCandidates(nil, b, dewey.Self, "book", ValueEq("")); len(got) != 1 {
 		t.Fatal("self probe failed")
 	}
-	if got := ix.Candidates(b, dewey.Self, "title", ValueEq("")); len(got) != 0 {
+	if got := ix.AppendCandidates(nil, b, dewey.Self, "title", ValueEq("")); len(got) != 0 {
 		t.Fatal("self probe with wrong tag should be empty")
 	}
-	if got := ix.Candidates(b, dewey.FollowingSibling, "book", ValueEq("")); got != nil {
+	if got := ix.AppendCandidates(nil, b, dewey.FollowingSibling, "book", ValueEq("")); got != nil {
 		t.Fatal("unsupported probe axis must return nil")
-	}
-}
-
-func TestHasCandidateAgreesWithCandidates(t *testing.T) {
-	ix := Build(mustDoc(t, libraryXML))
-	tags := []string{"book", "title", "info", "name", "publisher", "reviews", "zzz"}
-	axes := []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant}
-	for _, anchor := range ix.Doc.Nodes {
-		for _, tag := range tags {
-			for _, ax := range axes {
-				has := ix.HasCandidate(anchor, ax, tag, ValueEq(""))
-				n := len(ix.Candidates(anchor, ax, tag, ValueEq("")))
-				if has != (n > 0) {
-					t.Fatalf("HasCandidate(%v,%v,%s) = %v but %d candidates", anchor, ax, tag, has, n)
-				}
-			}
-		}
 	}
 }
 
 func TestPredicateStats(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	// pc(book, title): books 1 and 2 have a child title; book 3 does not.
-	st := ix.Predicate("book", dewey.Child, "title", ValueEq(""))
+	st := PredicateStatsOf(ix, "book", dewey.Child, "title", ValueEq(""))
 	if st.RootCount != 3 || st.Satisfying != 2 || st.TotalPairs != 2 || st.MaxTF != 1 {
 		t.Fatalf("pc(book,title) stats = %+v", st)
 	}
 	// ad(book, title): all three books; book 2 has tf 2.
-	st = ix.Predicate("book", dewey.Descendant, "title", ValueEq(""))
+	st = PredicateStatsOf(ix, "book", dewey.Descendant, "title", ValueEq(""))
 	if st.Satisfying != 3 || st.TotalPairs != 4 || st.MaxTF != 2 {
 		t.Fatalf("ad(book,title) stats = %+v", st)
 	}
 	// Value predicate.
-	st = ix.Predicate("book", dewey.Descendant, "title", ValueEq("wodehouse"))
+	st = PredicateStatsOf(ix, "book", dewey.Descendant, "title", ValueEq("wodehouse"))
 	if st.Satisfying != 2 || st.MaxTF != 1 {
 		t.Fatalf("ad(book,title=wodehouse) stats = %+v", st)
 	}
 	// Relaxed (ad) dominates exact (pc): idf denominator can only grow.
-	exact := ix.Predicate("book", dewey.Child, "title", ValueEq(""))
-	relaxed := ix.Predicate("book", dewey.Descendant, "title", ValueEq(""))
+	exact := PredicateStatsOf(ix, "book", dewey.Child, "title", ValueEq(""))
+	relaxed := PredicateStatsOf(ix, "book", dewey.Descendant, "title", ValueEq(""))
 	if relaxed.Satisfying < exact.Satisfying || relaxed.TotalPairs < exact.TotalPairs {
 		t.Fatal("relaxation must not lose matches")
 	}
@@ -172,10 +155,10 @@ func TestStatsDerived(t *testing.T) {
 func TestTF(t *testing.T) {
 	ix := Build(mustDoc(t, libraryXML))
 	book2 := ix.Nodes("book")[1]
-	if got := ix.TF(book2, dewey.Descendant, "title", ValueEq("")); got != 2 {
+	if got := len(ix.AppendCandidates(nil, book2, dewey.Descendant, "title", ValueEq(""))); got != 2 {
 		t.Fatalf("tf = %d, want 2", got)
 	}
-	if got := ix.TF(book2, dewey.Child, "title", ValueEq("wodehouse")); got != 1 {
+	if got := len(ix.AppendCandidates(nil, book2, dewey.Child, "title", ValueEq("wodehouse"))); got != 1 {
 		t.Fatalf("tf = %d, want 1", got)
 	}
 }
@@ -203,7 +186,7 @@ func TestRangeScanAgainstNaive(t *testing.T) {
 	ix := Build(doc)
 	for _, anchor := range doc.Nodes {
 		for _, tag := range tags {
-			got := ix.Candidates(anchor, dewey.Descendant, tag, ValueEq(""))
+			got := ix.AppendCandidates(nil, anchor, dewey.Descendant, tag, ValueEq(""))
 			var want []*xmltree.Node
 			for _, d := range anchor.Descendants() {
 				if d.Tag == tag {
@@ -216,6 +199,51 @@ func TestRangeScanAgainstNaive(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("anchor %v tag %s: order mismatch", anchor, tag)
+				}
+			}
+		}
+	}
+}
+
+// TestPredicateStatsAgainstNaive cross-checks PredicateStatsOf with
+// statistics counted by walking the tree, for every root tag, axis,
+// target tag and value test on the library document.
+func TestPredicateStatsAgainstNaive(t *testing.T) {
+	doc := mustDoc(t, libraryXML)
+	ix := Build(doc)
+	tags := []string{"library", "book", "title", "info", "name", "publisher", "reviews", "zzz"}
+	vts := []ValueTest{ValueEq(""), ValueEq("wodehouse"), Test("contains", "e")}
+	related := func(anchor *xmltree.Node, axis dewey.Axis) []*xmltree.Node {
+		switch axis {
+		case dewey.Self:
+			return []*xmltree.Node{anchor}
+		case dewey.Child:
+			return anchor.Children
+		default:
+			return anchor.Descendants()
+		}
+	}
+	for _, rootTag := range tags {
+		for _, axis := range []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant} {
+			for _, tag := range tags {
+				for _, vt := range vts {
+					var want PredicateStats
+					for _, n := range doc.Nodes {
+						if n.Tag != rootTag {
+							continue
+						}
+						want.RootCount++
+						tf := 0
+						for _, m := range related(n, axis) {
+							if m.Tag == tag && vt.Matches(m.Value) {
+								tf++
+							}
+						}
+						want.Add(tf)
+					}
+					if got := PredicateStatsOf(ix, rootTag, axis, tag, vt); got != want {
+						t.Fatalf("PredicateStatsOf(%s,%v,%s,%v) = %+v, naive %+v", rootTag, axis, tag, vt, got, want)
+					}
 				}
 			}
 		}

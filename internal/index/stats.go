@@ -42,59 +42,31 @@ func (s PredicateStats) MeanFanout() float64 {
 	return float64(s.TotalPairs) / float64(s.Satisfying)
 }
 
-// Predicate computes PredicateStats for the component predicate relating
-// rootTag nodes to (tag, value) nodes via axis. Axis must be Child,
-// Descendant or Self.
-func (ix *Index) Predicate(rootTag string, axis dewey.Axis, tag string, vt ValueTest) PredicateStats {
-	roots := ix.Nodes(rootTag)
+// PredicateStatsOf computes PredicateStats over src for the component
+// predicate relating rootTag nodes to (tag, vt) nodes via axis: one
+// AppendCandidates probe per rootTag node, all into one reused scratch
+// buffer. Axis must be Child, Descendant or Self; other axes have no
+// candidates.
+func PredicateStatsOf(src Source, rootTag string, axis dewey.Axis, tag string, vt ValueTest) PredicateStats {
+	roots := src.Nodes(rootTag)
 	st := PredicateStats{RootCount: len(roots)}
+	var buf []*xmltree.Node
 	for _, r := range roots {
-		tf := ix.countCandidates(r, axis, tag, vt)
-		if tf > 0 {
-			st.Satisfying++
-			st.TotalPairs += tf
-			if tf > st.MaxTF {
-				st.MaxTF = tf
-			}
-		}
+		buf = src.AppendCandidates(buf[:0], r, axis, tag, vt)
+		st.Add(len(buf))
 	}
 	return st
 }
 
-// countCandidates counts without materializing.
-func (ix *Index) countCandidates(anchor *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) int {
-	switch axis {
-	case dewey.Self:
-		if anchor.Tag == tag && vt.Matches(anchor.Value) {
-			return 1
+// Add folds one root's term frequency tf into the statistics; a root
+// with tf 0 does not satisfy the predicate and leaves them unchanged.
+// RootCount is the caller's to set.
+func (s *PredicateStats) Add(tf int) {
+	if tf > 0 {
+		s.Satisfying++
+		s.TotalPairs += tf
+		if tf > s.MaxTF {
+			s.MaxTF = tf
 		}
-		return 0
-	case dewey.Child:
-		n := 0
-		for _, c := range anchor.Children {
-			if c.Tag == tag && vt.Matches(c.Value) {
-				n++
-			}
-		}
-		return n
-	case dewey.Descendant:
-		postings := ix.NodesMatching(tag, vt)
-		lo := firstAfter(postings, anchor.ID)
-		n := 0
-		for i := lo; i < len(postings); i++ {
-			if !anchor.ID.IsAncestorOf(postings[i].ID) {
-				break
-			}
-			n++
-		}
-		return n
-	default:
-		return 0
 	}
-}
-
-// TF returns Definition 4.3's term frequency: the number of (tag, value)
-// nodes on the given axis of node n.
-func (ix *Index) TF(n *xmltree.Node, axis dewey.Axis, tag string, vt ValueTest) int {
-	return ix.countCandidates(n, axis, tag, vt)
 }

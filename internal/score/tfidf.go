@@ -239,20 +239,10 @@ func scanPredicate(ix index.Source, q *pattern.Query, id int) (exact, relaxed in
 				tfExact++
 			}
 		}
-		accumulate(&exact, tfExact)
-		accumulate(&relaxed, tfRelaxed)
+		exact.Add(tfExact)
+		relaxed.Add(tfRelaxed)
 	}
 	return exact, relaxed
-}
-
-func accumulate(st *index.PredicateStats, tf int) {
-	if tf > 0 {
-		st.Satisfying++
-		st.TotalPairs += tf
-		if tf > st.MaxTF {
-			st.MaxTF = tf
-		}
-	}
 }
 
 // Contribution implements Scorer.

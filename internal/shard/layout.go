@@ -86,7 +86,7 @@ func FromLayout(doc *xmltree.Document, spineOrds []int, unitOrds [][]int, source
 	}
 	// Every spine node's parent must itself be on the spine (or be a
 	// root), and every unit's parent must be a spine node — the
-	// invariants Candidates' home() walk and the spine fold rely on.
+	// invariants AppendCandidates' home() walk and the spine fold rely on.
 	for _, s := range c.spine {
 		if s.Parent != nil {
 			if h, ok := c.homes[s.Parent.Ord]; !ok || h != -1 {

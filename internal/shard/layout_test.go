@@ -37,8 +37,8 @@ func compareCorpora(t *testing.T, want, got *Corpus) {
 				t.Fatalf("Nodes(%s)[%d] ord mismatch", tag, i)
 			}
 		}
-		pa := want.Predicate("item", dewey.Descendant, tag, index.ValueEq(""))
-		pb := got.Predicate("item", dewey.Descendant, tag, index.ValueEq(""))
+		pa := index.PredicateStatsOf(want, "item", dewey.Descendant, tag, index.ValueEq(""))
+		pb := index.PredicateStatsOf(got, "item", dewey.Descendant, tag, index.ValueEq(""))
 		if pa != pb {
 			t.Fatalf("Predicate(%s): %+v vs %+v", tag, pa, pb)
 		}
@@ -46,15 +46,15 @@ func compareCorpora(t *testing.T, want, got *Corpus) {
 	// Probe every item anchor and every spine anchor on both corpora.
 	wd, gd := want.Doc(), got.Doc()
 	for _, anchor := range want.Nodes("item") {
-		a := want.Candidates(anchor, dewey.Descendant, "text", index.ValueEq(""))
-		b := got.Candidates(gd.Nodes[anchor.Ord], dewey.Descendant, "text", index.ValueEq(""))
+		a := want.AppendCandidates(nil, anchor, dewey.Descendant, "text", index.ValueEq(""))
+		b := got.AppendCandidates(nil, gd.Nodes[anchor.Ord], dewey.Descendant, "text", index.ValueEq(""))
 		if len(a) != len(b) {
 			t.Fatalf("item %d Candidates: %d vs %d", anchor.Ord, len(a), len(b))
 		}
 	}
 	for _, s := range want.Spine() {
-		a := want.Candidates(s, dewey.Descendant, "item", index.ValueEq(""))
-		b := got.Candidates(gd.Nodes[s.Ord], dewey.Descendant, "item", index.ValueEq(""))
+		a := want.AppendCandidates(nil, s, dewey.Descendant, "item", index.ValueEq(""))
+		b := got.AppendCandidates(nil, gd.Nodes[s.Ord], dewey.Descendant, "item", index.ValueEq(""))
 		if len(a) != len(b) {
 			t.Fatalf("spine %d Candidates: %d vs %d", s.Ord, len(a), len(b))
 		}

@@ -254,14 +254,10 @@ func TestCorpusSourceEquivalence(t *testing.T) {
 			for _, anchor := range anchors {
 				for _, axis := range axes {
 					for _, tag := range tags {
-						got := nodeOrds(c.Candidates(anchor, axis, tag, any))
-						want := nodeOrds(whole.Candidates(anchor, axis, tag, any))
+						got := nodeOrds(c.AppendCandidates(nil, anchor, axis, tag, any))
+						want := nodeOrds(whole.AppendCandidates(nil, anchor, axis, tag, any))
 						if !equalInts(got, want) {
-							t.Fatalf("%s: Candidates(ord %d, %v, %q) = %v, want %v",
-								name, anchor.Ord, axis, tag, got, want)
-						}
-						if got, want := c.TF(anchor, axis, tag, any), whole.TF(anchor, axis, tag, any); got != want {
-							t.Fatalf("%s: TF(ord %d, %v, %q) = %d, want %d",
+							t.Fatalf("%s: AppendCandidates(ord %d, %v, %q) = %v, want %v",
 								name, anchor.Ord, axis, tag, got, want)
 						}
 					}
@@ -269,8 +265,8 @@ func TestCorpusSourceEquivalence(t *testing.T) {
 			}
 			for _, rootTag := range tags {
 				for _, tag := range tags {
-					got := c.Predicate(rootTag, dewey.Descendant, tag, any)
-					want := whole.Predicate(rootTag, dewey.Descendant, tag, any)
+					got := index.PredicateStatsOf(c, rootTag, dewey.Descendant, tag, any)
+					want := index.PredicateStatsOf(whole, rootTag, dewey.Descendant, tag, any)
 					if got != want {
 						t.Fatalf("%s: Predicate(%q//%q) = %+v, want %+v", name, rootTag, tag, got, want)
 					}

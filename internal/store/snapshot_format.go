@@ -1,10 +1,15 @@
-// The v2 snapshot format ("WPXS") lays a fully built corpus — tag and
-// value postings, Dewey arrays, subtree extents, the structure synopsis
-// and keyword indexes, plus precomputed shard layouts — out as flat
-// little-endian arrays in page-aligned sections, so a reader can mmap
-// the file and serve structural probes directly from the mapped pages.
-// See DESIGN.md, "Snapshot storage", for the layout diagram and the
-// alignment/endianness/ownership rules.
+// Package store persists an indexed document as a WPXS snapshot: a
+// fully built corpus — tag and value postings, Dewey arrays, subtree
+// extents, the structure synopsis and keyword indexes, plus precomputed
+// shard layouts — laid out as flat little-endian arrays in page-aligned
+// sections. OpenSnapshot mmaps the file and SnapshotReader serves
+// structural probes directly from the mapped pages, so opening a
+// snapshot skips the parse, index and synopsis builds. SnapshotReader
+// and PartSource implement index.Source, making a snapshot a drop-in
+// replacement for the in-memory index in the engine — the paper's
+// disk-resident scenario (Section 6.3.3). See DESIGN.md, "Snapshot
+// storage", for the layout diagram and the alignment/endianness/
+// ownership rules.
 //
 //	header       64 bytes (magic, version, flags, page size, file size,
 //	             crc32c over bytes [32, fileSize), section count)
@@ -142,21 +147,15 @@ func (h header) encode() []byte {
 	return b
 }
 
-// IsSnapshot reports whether data begins with the v2 snapshot magic —
-// the sniff Open uses to dispatch between the legacy varint format and
-// the mmap format.
-func IsSnapshot(data []byte) bool {
-	return len(data) >= 4 && data[0] == snapshotMagic[0] && data[1] == snapshotMagic[1] &&
-		data[2] == snapshotMagic[2] && data[3] == snapshotMagic[3]
-}
-
 // parseHeader validates the fixed header against the actual input size.
+// The magic is checked first, so a file of another format is named as
+// such even when it is shorter than a header.
 func parseHeader(data []byte) (header, error) {
+	if len(data) >= len(snapshotMagic) && [4]byte(data[:4]) != snapshotMagic {
+		return header{}, fmt.Errorf("store: bad snapshot magic % x at offset 0, want %q", data[:4], snapshotMagic[:])
+	}
 	if len(data) < headerSize {
 		return header{}, fmt.Errorf("store: snapshot truncated: %d bytes, need %d-byte header", len(data), headerSize)
-	}
-	if !IsSnapshot(data) {
-		return header{}, fmt.Errorf("store: bad snapshot magic % x at offset 0", data[:4])
 	}
 	h := header{
 		version:  binary.LittleEndian.Uint32(data[4:]),

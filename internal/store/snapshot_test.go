@@ -2,8 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dewey"
@@ -11,8 +17,18 @@ import (
 	"repro/internal/keyword"
 	"repro/internal/shard"
 	"repro/internal/synopsis"
+	"repro/internal/xmark"
 	"repro/internal/xmltree"
 )
+
+func genDoc(t testing.TB, items int) *xmltree.Document {
+	t.Helper()
+	doc, err := xmark.Generate(xmark.Options{Seed: 5, Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
 
 // fullSnapshot builds a Snapshot carrying every optional section: the
 // synopsis, an item-scope keyword index, and partition layouts for 1
@@ -132,18 +148,15 @@ func TestSnapshotMatchesIndex(t *testing.T) {
 		for _, tag := range []string{"parlist", "text", "incategory", "name"} {
 			for _, ax := range []dewey.Axis{dewey.Self, dewey.Child, dewey.Descendant} {
 				for _, vt := range vts {
-					a := ix.Candidates(anchorIx, ax, tag, vt)
-					b := r.Candidates(anchorR, ax, tag, vt)
+					a := ix.AppendCandidates(nil, anchorIx, ax, tag, vt)
+					b := r.AppendCandidates(nil, anchorR, ax, tag, vt)
 					if len(a) != len(b) {
-						t.Fatalf("Candidates(%v,%v,%s,%v): %d vs %d", anchorIx, ax, tag, vt, len(a), len(b))
+						t.Fatalf("AppendCandidates(%v,%v,%s,%v): %d vs %d", anchorIx, ax, tag, vt, len(a), len(b))
 					}
 					for i := range a {
 						if a[i].Ord != b[i].Ord {
-							t.Fatalf("Candidates(%v,%v,%s,%v)[%d]: ord mismatch", anchorIx, ax, tag, vt, i)
+							t.Fatalf("AppendCandidates(%v,%v,%s,%v)[%d]: ord mismatch", anchorIx, ax, tag, vt, i)
 						}
-					}
-					if got, want := r.TF(anchorR, ax, tag, vt), ix.TF(anchorIx, ax, tag, vt); got != want {
-						t.Fatalf("TF(%v,%v,%s,%v): %d vs %d", anchorIx, ax, tag, vt, got, want)
 					}
 				}
 			}
@@ -151,10 +164,10 @@ func TestSnapshotMatchesIndex(t *testing.T) {
 	}
 	for _, tag := range []string{"parlist", "incategory", "name"} {
 		for _, vt := range vts {
-			a := ix.Predicate("item", dewey.Descendant, tag, vt)
-			b := r.Predicate("item", dewey.Descendant, tag, vt)
+			a := index.PredicateStatsOf(ix, "item", dewey.Descendant, tag, vt)
+			b := index.PredicateStatsOf(r, "item", dewey.Descendant, tag, vt)
 			if a != b {
-				t.Fatalf("Predicate(%s,%v): %+v vs %+v", tag, vt, a, b)
+				t.Fatalf("PredicateStatsOf(%s,%v): %+v vs %+v", tag, vt, a, b)
 			}
 			am, bm := ix.NodesMatching(tag, vt), r.NodesMatching(tag, vt)
 			if len(am) != len(bm) {
@@ -273,18 +286,18 @@ func TestSnapshotPartSourceMatchesPartIndex(t *testing.T) {
 						t.Fatalf("part %d NodesMatching(%s,%v)[%d]: ord mismatch", part.ID, tag, vt, i)
 					}
 				}
-				pa := ref.Predicate("item", dewey.Descendant, tag, vt)
-				pb := ps.Predicate("item", dewey.Descendant, tag, vt)
+				pa := index.PredicateStatsOf(ref, "item", dewey.Descendant, tag, vt)
+				pb := index.PredicateStatsOf(ps, "item", dewey.Descendant, tag, vt)
 				if pa != pb {
-					t.Fatalf("part %d Predicate(%s,%v): %+v vs %+v", part.ID, tag, vt, pa, pb)
+					t.Fatalf("part %d PredicateStatsOf(%s,%v): %+v vs %+v", part.ID, tag, vt, pa, pb)
 				}
 			}
 		}
 		for _, anchor := range ref.Nodes("item") {
-			a := ref.Candidates(anchor, dewey.Descendant, "text", index.ValueEq(""))
-			b := ps.Candidates(r.Document().Nodes[anchor.Ord], dewey.Descendant, "text", index.ValueEq(""))
+			a := ref.AppendCandidates(nil, anchor, dewey.Descendant, "text", index.ValueEq(""))
+			b := ps.AppendCandidates(nil, r.Document().Nodes[anchor.Ord], dewey.Descendant, "text", index.ValueEq(""))
 			if len(a) != len(b) {
-				t.Fatalf("part %d Candidates: %d vs %d", part.ID, len(a), len(b))
+				t.Fatalf("part %d AppendCandidates: %d vs %d", part.ID, len(a), len(b))
 			}
 		}
 	}
@@ -350,7 +363,6 @@ func TestSnapshotProbeAllocs(t *testing.T) {
 		for _, vt := range vts {
 			scratch = r.AppendCandidates(scratch[:0], anchor, dewey.Descendant, "name", vt)
 			scratch = r.AppendCandidates(scratch[:0], anchor, dewey.Child, "name", vt)
-			_ = r.TF(anchor, dewey.Descendant, "name", vt)
 		}
 		_ = r.CountTag("item")
 	}
@@ -421,17 +433,162 @@ func TestSnapshotEmptyAndForest(t *testing.T) {
 	}
 }
 
-func TestIsSnapshotSniff(t *testing.T) {
-	doc := genDoc(t, 5)
-	v2 := writeSnap(t, &Snapshot{Doc: doc})
-	if !IsSnapshot(v2) {
-		t.Fatal("v2 image not recognized")
+// TestOpenSnapshotRejectsV1 checks a file in the retired varint format
+// ("WPX1" magic) is refused at open with an error naming the offset of
+// the bad magic, whether or not it is as long as a WPXS header.
+func TestOpenSnapshotRejectsV1(t *testing.T) {
+	dir := t.TempDir()
+	for _, size := range []int{8, 200} {
+		v1 := append([]byte("WPX1"), make([]byte, size-4)...)
+		path := filepath.Join(dir, fmt.Sprintf("v1-%d.wpx", size))
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSnapshot(path)
+		if err == nil {
+			t.Fatalf("%d-byte WPX1 file accepted", size)
+		}
+		if !strings.Contains(err.Error(), "magic") || !strings.Contains(err.Error(), "offset 0") {
+			t.Fatalf("%d-byte WPX1 file: error %q does not name the bad magic at offset 0", size, err)
+		}
 	}
-	var v1 bytes.Buffer
-	if err := Write(&v1, doc); err != nil {
+}
+
+// TestValuePostings checks the persisted (tag, value) postings: an
+// equality test is served from them, an empty value means any, an
+// absent value matches nothing, and a repeated lookup returns the
+// cached list.
+func TestValuePostings(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a>x</a><a>y</a><a>x</a><b>x</b></r>`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if IsSnapshot(v1.Bytes()) {
-		t.Fatal("v1 image misrecognized as v2")
+	r := parseSnap(t, writeSnap(t, &Snapshot{Doc: doc}))
+	for _, c := range []struct {
+		tag, value string
+		want       int
+	}{
+		{"a", "x", 2}, {"a", "y", 1}, {"a", "z", 0}, {"a", "", 3}, {"b", "x", 1}, {"c", "x", 0},
+	} {
+		if got := len(r.NodesMatching(c.tag, index.ValueEq(c.value))); got != c.want {
+			t.Fatalf("NodesMatching(%s=%q) = %d, want %d", c.tag, c.value, got, c.want)
+		}
+	}
+	root := r.Document().Roots[0]
+	if got := r.AppendCandidates(nil, root, dewey.Child, "a", index.ValueEq("x")); len(got) != 2 || got[0].Ord != 1 || got[1].Ord != 3 {
+		t.Fatalf("child a=x of r = %v", got)
+	}
+	p1 := r.NodesMatching("a", index.ValueEq("x"))
+	p2 := r.NodesMatching("a", index.ValueEq("x"))
+	if &p1[0] != &p2[0] {
+		t.Fatal("value postings not cached")
+	}
+}
+
+// reseal recomputes the body checksum of a snapshot image, so a test can
+// corrupt a section's contents past the checksum and reach the
+// structural validation behind it.
+func reseal(raw []byte) {
+	binary.LittleEndian.PutUint32(raw[24:], crc32.Checksum(raw[crcFrom:], castagnoli))
+}
+
+// sectionOf returns the table entry of the single section of a kind.
+func sectionOf(t *testing.T, raw []byte, kind uint32) section {
+	t.Helper()
+	h, err := parseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := parseSections(raw, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range secs {
+		if s.kind == kind {
+			return s
+		}
+	}
+	t.Fatalf("no %s section", sectionName(kind))
+	return section{}
+}
+
+// TestCorruptionErrorsCarryOffsets pins the debuggability contract: a
+// corrupt header field, and a section whose contents break a structural
+// invariant even under a valid checksum, are rejected with an error
+// naming the file offset where the fault was found.
+func TestCorruptionErrorsCarryOffsets(t *testing.T) {
+	raw := writeSnap(t, &Snapshot{Doc: genDoc(t, 10)})
+	if _, err := ParseSnapshot(raw); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	flip := func(off int) func([]byte) []byte {
+		return func(m []byte) []byte { m[off] ^= 0xFF; return m }
+	}
+	// putWord overwrites 32-bit word i of a section and reseals, so only
+	// the structural checks can catch it.
+	putWord := func(kind uint32, i int, v uint32) (func([]byte) []byte, uint64) {
+		s := sectionOf(t, raw, kind)
+		return func(m []byte) []byte {
+			binary.LittleEndian.PutUint32(m[int(s.off)+4*i:], v)
+			reseal(m)
+			return m
+		}, s.off
+	}
+	swapWords := func(kind uint32, i int) (func([]byte) []byte, uint64) {
+		s := sectionOf(t, raw, kind)
+		return func(m []byte) []byte {
+			a, b := int(s.off)+4*i, int(s.off)+4*(i+1)
+			wa, wb := binary.LittleEndian.Uint32(m[a:]), binary.LittleEndian.Uint32(m[b:])
+			binary.LittleEndian.PutUint32(m[a:], wb)
+			binary.LittleEndian.PutUint32(m[b:], wa)
+			reseal(m)
+			return m
+		}, s.off
+	}
+	type tc struct {
+		name   string
+		mutate func([]byte) []byte
+		at     uint64
+	}
+	cases := []tc{
+		{"magic", flip(0), 0},
+		{"version", flip(4), 4},
+		{"page size", flip(12), 12},
+		{"file size", flip(16), 16},
+		{"checksum", flip(24), 24},
+		{"section count", flip(31), 28},
+		{"body flip", flip(len(raw) / 2), 24},
+		{"truncated", func(m []byte) []byte { return m[:len(m)-1] }, 16},
+		{"extended", func(m []byte) []byte { return append(m, 0) }, 16},
+	}
+	add := func(name string, mutate func([]byte) []byte, at uint64) {
+		cases = append(cases, tc{name, mutate, at})
+	}
+	mut, at := putWord(secTagOffsets, 0, 1)
+	add("tag offsets", mut, at)
+	mut, at = putWord(secNodeTags, 3, 1<<20)
+	add("node tags", mut, at)
+	mut, at = putWord(secNodeParents, 1, 5)
+	add("node parents", mut, at)
+	mut, at = putWord(secSubtree, 2, 0)
+	add("subtree sizes", mut, at)
+	mut, at = putWord(secValueOffsets, 0, 1)
+	add("value offsets", mut, at)
+	mut, at = putWord(secDeweyOffsets, 0, 1)
+	add("dewey offsets", mut, at)
+	mut, at = swapWords(secTagPostOrds, 0)
+	add("tag postings", mut, at)
+	mut, at = putWord(secValPostTags, 0, 1<<20)
+	add("value postings tags", mut, at)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseSnapshot(c.mutate(append([]byte(nil), raw...)))
+			if err == nil {
+				t.Fatal("corruption accepted")
+			}
+			if want := regexp.MustCompile(fmt.Sprintf(`\boffset %d\b`, c.at)); !want.MatchString(err.Error()) {
+				t.Fatalf("error %q does not name offset %d", err, c.at)
+			}
+		})
 	}
 }

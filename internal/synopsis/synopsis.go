@@ -490,7 +490,7 @@ func (s *Synopsis) PathStats(anchorTag string, pp relax.PathPredicate, tag strin
 
 // Predicate returns the statistics of the plain axis predicate relating
 // anchorTag nodes to tag nodes — the synopsis analog of
-// index.Predicate with no value test. ok is false for unsupported axes.
+// index.PredicateStatsOf with no value test. ok is false for unsupported axes.
 func (s *Synopsis) Predicate(anchorTag string, axis dewey.Axis, tag string) (index.PredicateStats, bool) {
 	switch axis {
 	case dewey.Child:

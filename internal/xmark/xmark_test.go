@@ -88,7 +88,7 @@ func TestGenerateStructuralFeatures(t *testing.T) {
 	// Recursive parlists: some parlist must contain a nested parlist.
 	nested := 0
 	for _, p := range ix.Nodes("parlist") {
-		for _, d := range ix.Candidates(p, dewey.Descendant, "parlist", index.ValueEq("")) {
+		for _, d := range ix.AppendCandidates(nil, p, dewey.Descendant, "parlist", index.ValueEq("")) {
 			_ = d
 			nested++
 		}
@@ -97,7 +97,7 @@ func TestGenerateStructuralFeatures(t *testing.T) {
 		t.Fatal("no recursive parlists generated (edge generalization unexercised)")
 	}
 	// Optional incategory: some items have one, some do not.
-	withCat := ix.Predicate("item", dewey.Descendant, "incategory", index.ValueEq("")).Satisfying
+	withCat := index.PredicateStatsOf(ix, "item", dewey.Descendant, "incategory", index.ValueEq("")).Satisfying
 	if withCat == 0 || withCat == 200 {
 		t.Fatalf("incategory satisfying = %d; must be optional", withCat)
 	}

@@ -229,35 +229,6 @@ func LoadProjected(r io.Reader, queries ...*Query) (*Database, error) {
 	return FromDocument(doc), nil
 }
 
-// Save persists the database as a compact binary snapshot at path.
-// Opening a snapshot with Open is much faster than re-parsing and
-// re-indexing the source XML.
-func (db *Database) Save(path string) error {
-	return store.Save(path, db.doc)
-}
-
-// Open loads a database snapshot previously written by Save or
-// SaveSnapshot, sniffing the format from the file's magic: v2 mmap
-// snapshots are served zero-copy via OpenSnapshot, legacy v1 snapshots
-// through the lazy-decoding reader.
-func Open(path string) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	n, _ := io.ReadFull(f, magic[:])
-	f.Close()
-	if store.IsSnapshot(magic[:n]) {
-		return OpenSnapshot(path)
-	}
-	r, err := store.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Database{doc: r.Document(), ix: r}, nil
-}
-
 // SnapshotOptions selects what SaveSnapshot persists beyond the
 // document, its postings and the structure synopsis (always included).
 type SnapshotOptions struct {
@@ -589,10 +560,12 @@ type ShardedDatabase struct {
 	reg    *obs.Registry
 }
 
-// Shard partitions the database into p shards (p ≥ 1). The partition is
-// computed once; the returned ShardedDatabase is safe for concurrent
-// queries.
-func (db *Database) Shard(p int) (*ShardedDatabase, error) { return ShardDocument(db.doc, p) }
+// Shard partitions the database into p shards (p ≥ 1). It returns the
+// same cached ShardedDatabase that Options.Shards = p evaluates on:
+// built once per shard count, from the snapshot's persisted layout when
+// the database was opened with OpenSnapshot and one exists for p. The
+// returned ShardedDatabase is safe for concurrent queries.
+func (db *Database) Shard(p int) (*ShardedDatabase, error) { return db.shardedFor(p) }
 
 // ShardDocument partitions an already parsed document into p shards,
 // building the per-shard indexes in parallel.
@@ -609,7 +582,9 @@ func ShardDocument(doc *Document, p int) (*ShardedDatabase, error) {
 
 // ObserveInto routes per-run shard metrics (per-shard operation and
 // prune counters, run-duration and merge-latency histograms, shard-skew
-// gauge) from every engine subsequently built to reg.
+// gauge) from every engine subsequently built to reg. A ShardedDatabase
+// from Database.Shard is the instance Options.Shards evaluates on too,
+// so the registry applies to those evaluations as well.
 func (sdb *ShardedDatabase) ObserveInto(reg *obs.Registry) { sdb.reg = reg }
 
 // Document returns the underlying parsed document.

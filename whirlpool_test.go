@@ -219,14 +219,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "site.wpx")
-	if err := db.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "site.wpxs")
+	if err := db.SaveSnapshot(path, SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(path)
+	db2, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db2.Close()
 	if db2.Size() != db.Size() {
 		t.Fatalf("snapshot size %d != %d", db2.Size(), db.Size())
 	}
@@ -250,7 +251,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 			t.Fatalf("answer %d roots differ", i)
 		}
 	}
-	if _, err := Open(filepath.Join(t.TempDir(), "nope.wpx")); err == nil {
+	if _, err := OpenSnapshot(filepath.Join(t.TempDir(), "nope.wpxs")); err == nil {
 		t.Fatal("missing snapshot should error")
 	}
 }
